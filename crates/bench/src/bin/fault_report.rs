@@ -7,14 +7,13 @@
 //!
 //! Usage: `fault_report`.
 
-use hix_core::{GpuEnclave, GpuEnclaveOptions, HixSession};
+use hix_bench::{fail, matrix_round};
+use hix_core::{GpuEnclave, GpuEnclaveOptions};
 use hix_driver::rig::{standard_rig, RigOptions};
 use hix_sim::fault::{FaultConfig, FaultPlan};
-use hix_sim::{EventKind, Nanos, Payload};
+use hix_sim::{EventKind, Nanos};
 use hix_workloads::all_kernels;
 
-/// Matrix dimension (24×24 i32: multi-message transfers, fast sweeps).
-const N: u64 = 24;
 /// Sessions per run — covers connect/close churn and enclave restarts.
 const ROUNDS: u32 = 2;
 
@@ -37,25 +36,6 @@ impl RunStats {
     }
 }
 
-fn fail(msg: &str) -> ! {
-    eprintln!("fault_report: FAILED: {msg}");
-    std::process::exit(1);
-}
-
-/// Deterministic input bytes — a fixed arithmetic texture, so clean and
-/// faulted runs of the same seed see identical matrices without any
-/// RNG stream shared with the fault plan.
-fn matrix_bytes(seed: u64, round: u32, which: u64) -> Vec<u8> {
-    (0..N * N)
-        .flat_map(|i| {
-            let v = (seed ^ (round as u64) << 7 ^ which << 3)
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(i.wrapping_mul(1442695040888963407));
-            (((v >> 33) % 64) as i32).to_le_bytes()
-        })
-        .collect()
-}
-
 fn run(seed: u64, profile: Option<FaultConfig>) -> RunStats {
     let mut m = standard_rig(RigOptions {
         kernels: all_kernels(),
@@ -68,22 +48,7 @@ fn run(seed: u64, profile: Option<FaultConfig>) -> RunStats {
         GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).expect("enclave launch");
     let mut results = Vec::new();
     for round in 0..ROUNDS {
-        let mut s = HixSession::connect(&mut m, &mut enclave).expect("connect");
-        s.load_module(&mut m, &mut enclave, "matrix.mul").expect("module");
-        let bytes = N * N * 4;
-        let a = s.malloc(&mut m, &mut enclave, bytes).expect("malloc");
-        let b = s.malloc(&mut m, &mut enclave, bytes).expect("malloc");
-        let c = s.malloc(&mut m, &mut enclave, bytes).expect("malloc");
-        s.memcpy_htod(&mut m, &mut enclave, a, &Payload::from_bytes(matrix_bytes(seed, round, 0)))
-            .expect("htod a");
-        s.memcpy_htod(&mut m, &mut enclave, b, &Payload::from_bytes(matrix_bytes(seed, round, 1)))
-            .expect("htod b");
-        s.launch(&mut m, &mut enclave, "matrix.mul", &[a.value(), b.value(), c.value(), N])
-            .expect("launch");
-        s.sync(&mut m, &mut enclave).expect("sync");
-        let out = s.memcpy_dtoh(&mut m, &mut enclave, c, bytes).expect("dtoh");
-        results.push(out.bytes().to_vec());
-        s.close(&mut m, &mut enclave).expect("close");
+        results.push(matrix_round(&mut m, &mut enclave, seed, round));
         // Mid-stream enclave restart when the plan rolls one: seal the
         // trust state, shut down, relaunch from the sealed blob.
         if let Some(plan) = m.fault_plan() {

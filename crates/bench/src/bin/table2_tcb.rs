@@ -105,6 +105,7 @@ const CRATE_ROLES: &[(&str, &str)] = &[
     ("pcie", "hardware model: config space, routing, lockdown"),
     ("gpu", "hardware model: device, VRAM, engines"),
     ("sim", "harness: virtual clock + cost model"),
+    ("obs", "harness: metrics, spans, attribution (linked by core)"),
     ("workloads", "evaluation: Rodinia + matrix workloads"),
     ("attacks", "evaluation: privileged-adversary scenarios"),
     ("bench", "evaluation: figure/table harnesses"),

@@ -8,7 +8,7 @@
 //! Open the emitted `*.trace.json` at <https://ui.perfetto.dev>.
 
 use hix_bench::json::{parse_json, Json};
-use hix_bench::{bench_rig, MatrixAt};
+use hix_bench::{bench_rig, fail, MatrixAt};
 use hix_core::{GpuEnclave, GpuEnclaveOptions, HixSession};
 use hix_driver::rig::GPU_BDF;
 use hix_driver::Gdev;
@@ -24,11 +24,6 @@ struct TracedRun {
     snapshot: String,
     phase_table: String,
     categories: Vec<&'static str>,
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("trace_report: FAILED: {msg}");
-    std::process::exit(1);
 }
 
 fn run_gdev(workload: &dyn Workload) -> TracedRun {
