@@ -100,16 +100,22 @@ fn bench_sha256() -> Measurement {
         .run(|| sha256::digest(&data))
 }
 
-fn bench_dh_handshake() -> Measurement {
+/// One two-party agreement (two keypairs, one shared secret) per group:
+/// the simulator's 256-bit default and RFC 3526 group 14.
+fn bench_dh_handshake(rows: &mut Vec<Measurement>) {
     use hix_crypto::dh::DhGroup;
-    let group = DhGroup::sim();
-    let mut rng_a = HmacDrbg::new(b"a");
-    let mut rng_b = HmacDrbg::new(b"b");
-    Bench::new("dh/sim-group-agreement").run(|| {
-        let a = group.generate(&mut rng_a);
-        let bk = group.generate(&mut rng_b);
-        group.agree(&a, &bk.public).unwrap()
-    })
+    for (name, group) in [
+        ("dh/sim-group-agreement", DhGroup::sim()),
+        ("dh/modp2048-agreement", DhGroup::modp2048()),
+    ] {
+        let mut rng_a = HmacDrbg::new(b"a");
+        let mut rng_b = HmacDrbg::new(b"b");
+        rows.push(Bench::new(name).run(|| {
+            let a = group.generate(&mut rng_a);
+            let bk = group.generate(&mut rng_b);
+            group.agree(&a, &bk.public).unwrap()
+        }));
+    }
 }
 
 fn ledger(rows: &[Measurement]) -> Json {
@@ -146,7 +152,7 @@ fn main() {
     bench_ocb_seal(&mut rows);
     bench_ocb_open(&mut rows);
     rows.push(bench_sha256());
-    rows.push(bench_dh_handshake());
+    bench_dh_handshake(&mut rows);
 
     let out_path = paths.into_iter().next().unwrap_or_else(|| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_crypto.json").into()

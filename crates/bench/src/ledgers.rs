@@ -359,6 +359,7 @@ pub mod crypto {
         "ocb/open/1024KiB",
         "sha256/64KiB",
         "dh/sim-group-agreement",
+        "dh/modp2048-agreement",
     ];
 
     /// Fields: rows.
@@ -380,6 +381,27 @@ pub mod crypto {
             );
         }
         Ok(())
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use crate::ledgers::tests::{committed, field};
+
+        #[test]
+        fn a_ledger_missing_a_required_row_fails_check() {
+            let text = committed("BENCH_crypto.json");
+            for required in REQUIRED_ROWS {
+                let mut mutant = crate::json::parse_json(&text).expect("valid");
+                let Json::Arr(rows) = field(&mut mutant, &ROW_GROUP) else {
+                    panic!("rows")
+                };
+                rows.retain(|r| NAME.text(r) != *required);
+                let text = LEDGER.render(&mutant).expect("renders");
+                let err = LEDGER.check(&text).expect_err("a missing row must fail");
+                assert_eq!(err, format!("required row missing: {required}"));
+            }
+        }
     }
 }
 
