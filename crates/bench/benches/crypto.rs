@@ -1,6 +1,8 @@
 //! Micro-benches (hix-testkit): real throughput of the from-scratch
 //! crypto primitives (these numbers are wall-clock, not simulated —
-//! they justify the "functional plane" being usable in tests). Emits
+//! they justify the "functional plane" being usable in tests), plus one
+//! whole session `connect` + `close`, the control-plane host cost those
+//! primitives (and the shared-window mapping) add up to. Emits
 //! `BENCH_crypto.json` alongside the printed report so the crypto
 //! plane's perf trajectory rides in the same ledger as the simulated
 //! reports (wall-clock numbers vary by host, so unlike `BENCH_perf` and
@@ -118,6 +120,21 @@ fn bench_dh_handshake(rows: &mut Vec<Measurement>) {
     }
 }
 
+/// One session lifecycle on one rig: `connect` with the default 64 MiB
+/// shared window (attestation, three-party DH, window mapping) and
+/// `close` (context teardown, window unmapping).
+fn bench_session(rows: &mut Vec<Measurement>) {
+    use hix_core::{GpuEnclave, GpuEnclaveOptions, HixSession};
+    use hix_driver::rig::{standard_rig, RigOptions};
+    let mut m = standard_rig(RigOptions::default());
+    let mut enclave =
+        GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).expect("enclave launches");
+    rows.push(Bench::new("session/connect-close").run(|| {
+        let s = HixSession::connect(&mut m, &mut enclave).expect("connect");
+        s.close(&mut m, &mut enclave).expect("close");
+    }));
+}
+
 fn ledger(rows: &[Measurement]) -> Json {
     let rows: Vec<Json> = rows
         .iter()
@@ -153,6 +170,7 @@ fn main() {
     bench_ocb_open(&mut rows);
     rows.push(bench_sha256());
     bench_dh_handshake(&mut rows);
+    bench_session(&mut rows);
 
     let out_path = paths.into_iter().next().unwrap_or_else(|| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_crypto.json").into()

@@ -360,6 +360,7 @@ pub mod crypto {
         "sha256/64KiB",
         "dh/sim-group-agreement",
         "dh/modp2048-agreement",
+        "session/connect-close",
     ];
 
     /// Fields: rows.

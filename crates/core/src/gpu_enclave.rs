@@ -642,7 +642,7 @@ impl GpuEnclave {
             .map(|(id, _)| *id)
             .collect();
         for id in dead {
-            let s = self.remove_session(id).expect("listed above");
+            let s = self.drop_session(machine, id).expect("listed above");
             // Scrub on free: the staging buffer saw sealed chunks only,
             // but the context's other allocations may hold plaintext.
             // A stale session's context already died (and was scrubbed)
@@ -669,10 +669,19 @@ impl GpuEnclave {
     }
 
     /// Removes a session and its LRU entry together (the only sanctioned
-    /// way to drop a resident session).
+    /// way to take a session out of the resident set).
     fn remove_session(&mut self, session: SessionId) -> Option<Session> {
         let s = self.sessions.remove(&session)?;
         self.lru.remove(&s.last_use);
+        Some(s)
+    }
+
+    /// Removes a session for good: the enclave also unmaps the session's
+    /// shared window, so nothing of a closed session stays reachable
+    /// from the enclave's address space.
+    fn drop_session(&mut self, machine: &mut Machine, session: SessionId) -> Option<Session> {
+        let s = self.remove_session(session)?;
+        s.endpoint.buffer().unshare(machine, self.pid);
         Some(s)
     }
 
@@ -877,6 +886,9 @@ impl GpuEnclave {
         let cost = machine.model().park_unseal();
         machine.clock().advance(cost);
         let p = self.parked.remove(&session).expect("checked above");
+        // The session leaves this shard either way: its window is the
+        // adopting shard's to map.
+        p.endpoint.buffer().unshare(machine, self.pid);
         let record = self
             .park_cipher(machine, session, p.seq)?
             .open(&hix_crypto::ocb::Nonce::from_counter(0), b"hix-park", &p.blob)
@@ -1032,7 +1044,7 @@ impl GpuEnclave {
             let state = self.sessions.get_mut(&session).expect("session exists");
             state.endpoint.send_response(machine, &response.encode())?;
             if closing {
-                self.remove_session(session);
+                self.drop_session(machine, session);
             }
             return Ok(true);
         }
@@ -1047,7 +1059,7 @@ impl GpuEnclave {
         let state = self.sessions.get_mut(&session).expect("session exists");
         state.endpoint.send_response(machine, &response.encode())?;
         if closing && ok {
-            self.remove_session(session);
+            self.drop_session(machine, session);
         }
         Ok(true)
     }
@@ -1630,6 +1642,7 @@ impl GpuEnclave {
             // §4.2.3: "user enclaves are notified that the GPU enclave is
             // terminated and the GPU is no longer trusted".
             let _ = state.endpoint.post_termination_notice(machine);
+            state.endpoint.buffer().unshare(machine, self.pid);
             let _ = self.driver.destroy_ctx(machine, state.ctx);
         }
         // Parked users hold no device state, but they still deserve the
@@ -1638,6 +1651,7 @@ impl GpuEnclave {
         for id in parked {
             let p = self.parked.remove(&id).expect("listed");
             let _ = p.endpoint.post_termination_notice(machine);
+            p.endpoint.buffer().unshare(machine, self.pid);
         }
         machine.fabric_mut().reset_device(self.bdf);
         machine.hix_release(self.pid)?;

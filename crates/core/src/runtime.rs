@@ -1515,6 +1515,7 @@ mod tests {
     use super::*;
     use crate::gpu_enclave::GpuEnclaveOptions;
     use hix_driver::rig::{standard_rig, RigOptions, GPU_BDF};
+    use hix_platform::AccessFault;
 
     fn setup() -> (Machine, GpuEnclave) {
         let mut m = standard_rig(RigOptions::default());
@@ -1931,5 +1932,39 @@ mod tests {
             .collect();
         assert_eq!(vals, (1..=100i32).map(|i| i * i).collect::<Vec<_>>());
         let _ = GPU_BDF;
+    }
+
+    #[test]
+    fn close_unmaps_the_window_from_the_gpu_enclave() {
+        let (mut m, mut enclave) = setup();
+        let s = HixSession::connect_with(&mut m, &mut enclave, 1 << 20, b"gone").unwrap();
+        let va = s.endpoint.buffer().va();
+        let mut byte = [0u8; 1];
+        m.read(enclave.pid(), va, &mut byte).unwrap();
+        s.close(&mut m, &mut enclave).unwrap();
+        assert_eq!(
+            m.read(enclave.pid(), va, &mut byte),
+            Err(AccessFault::NotMapped(va))
+        );
+    }
+
+    #[test]
+    fn a_window_on_a_terminated_sessions_run_starts_clean() {
+        // Session 1's window receives the termination notice; the user
+        // returns its run, and a session on the relaunched enclave gets
+        // the same run. It must not see the old notice.
+        let (mut m, enclave) = setup();
+        let mut enclave = enclave;
+        let s1 = HixSession::connect_with(&mut m, &mut enclave, 1 << 20, b"old").unwrap();
+        enclave.shutdown(&mut m).unwrap();
+        assert!(s1.enclave_terminated(&mut m).unwrap());
+        let run = m.iommu_mut().translate(s1.shared_bus()).unwrap();
+        s1.endpoint.buffer().clone().release(&mut m);
+
+        let mut enclave = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).unwrap();
+        let s2 = HixSession::connect_with(&mut m, &mut enclave, 1 << 20, b"new").unwrap();
+        assert_eq!(m.iommu_mut().translate(s2.shared_bus()), Some(run), "run not reused");
+        assert!(!s2.enclave_terminated(&mut m).unwrap());
+        s2.close(&mut m, &mut enclave).unwrap();
     }
 }

@@ -1,9 +1,11 @@
 //! Pinned DMA-able host buffers.
 //!
-//! A `DmaBuffer` is contiguous in *bus* address space: physical frames
-//! allocated by the OS, mapped into the owning process's address space
-//! and into the IOMMU at consecutive bus pages. Both the baseline runtime
-//! and HIX's inter-enclave shared memory use these.
+//! A `DmaBuffer` is one contiguous run of physical frames, allocated by
+//! the OS and mapped by one extent each into the owning process's
+//! address space and into the IOMMU. Its virtual and bus addresses come
+//! from the machine's window cursor, so no two buffers ever share an
+//! address. Both the baseline runtime and HIX's inter-enclave
+//! shared memory use these.
 
 use hix_pcie::addr::PhysAddr;
 use hix_platform::mem::PAGE_SIZE;
@@ -17,43 +19,41 @@ pub struct DmaBuffer {
     pid: ProcessId,
     va: VirtAddr,
     bus: PhysAddr,
+    /// Base of the buffer's frame run.
+    frames: PhysAddr,
+    pages: u64,
     len: u64,
 }
 
 impl DmaBuffer {
-    /// Allocates a `len`-byte buffer for `pid`: physical frames, process
-    /// mapping, and IOMMU entries at contiguous bus pages. VA and bus
-    /// ranges are derived from the first frame's address, which the
-    /// machine's bump allocator guarantees unique.
+    /// Allocates a `len`-byte buffer for `pid`: a zeroed frame run, one
+    /// process mapping and one IOMMU mapping over it.
     pub fn alloc(machine: &mut Machine, pid: ProcessId, len: u64) -> Self {
         let pages = len.div_ceil(PAGE_SIZE).max(1);
-        let frames = machine.alloc_frames(pages as usize);
-        let first = frames[0];
-        let va = VirtAddr::new(0x5000_0000_0000 + first.value() * 0x10);
-        let bus = PhysAddr::new(0x10_0000_0000 + first.value());
-        for (i, frame) in frames.iter().enumerate() {
-            machine.os_map(pid, va.offset(i as u64 * PAGE_SIZE), *frame, true);
-            machine
-                .iommu_mut()
-                .map(bus.offset(i as u64 * PAGE_SIZE), *frame);
+        let frames = machine.alloc_run(pages);
+        let (va, bus) = machine.alloc_window_addrs(pages);
+        machine.os_map_range(pid, va, frames, pages, true);
+        machine.iommu_mut().map_range(bus, frames, pages);
+        DmaBuffer {
+            pid,
+            va,
+            bus,
+            frames,
+            pages,
+            len,
         }
-        DmaBuffer { pid, va, bus, len }
     }
 
     /// Maps the same buffer into another process (shared memory). The
     /// mapping is at the same virtual address for simplicity.
     pub fn share_with(&self, machine: &mut Machine, other: ProcessId) {
-        let pages = self.len.div_ceil(PAGE_SIZE).max(1);
-        for i in 0..pages {
-            let va = self.va.offset(i * PAGE_SIZE);
-            // Re-derive the frame from the owner's mapping via the bus
-            // address (identity of construction).
-            let frame = machine
-                .iommu_mut()
-                .translate(self.bus.offset(i * PAGE_SIZE))
-                .expect("buffer is IOMMU-mapped");
-            machine.os_map(other, va, frame, true);
-        }
+        machine.os_map_range(other, self.va, self.frames, self.pages, true);
+    }
+
+    /// Undoes [`DmaBuffer::share_with`]: `other` no longer maps the
+    /// buffer.
+    pub fn unshare(&self, machine: &mut Machine, other: ProcessId) {
+        machine.os_unmap_range(other, self.va, self.pages);
     }
 
     /// The buffer's bus address (what DMA descriptors use).
@@ -119,20 +119,13 @@ impl DmaBuffer {
         self.pid
     }
 
-    /// Releases the buffer: IOMMU entries removed, process mapping torn
-    /// down, frames returned to the OS allocator.
+    /// Releases the buffer: IOMMU and owner mappings removed, the frame
+    /// run returned to the OS allocator. Processes it was shared with
+    /// must be [`unshare`](DmaBuffer::unshare)d by their owners.
     pub fn release(self, machine: &mut Machine) {
-        let pages = self.len.div_ceil(PAGE_SIZE).max(1);
-        let mut frames = Vec::with_capacity(pages as usize);
-        for i in 0..pages {
-            let bus = self.bus.offset(i * PAGE_SIZE);
-            if let Some(frame) = machine.iommu_mut().translate(bus) {
-                frames.push(frame);
-            }
-            machine.iommu_mut().unmap(bus);
-            machine.os_unmap(self.pid, self.va.offset(i * PAGE_SIZE));
-        }
-        machine.free_frames(&frames);
+        machine.iommu_mut().unmap_range(self.bus, self.pages);
+        machine.os_unmap_range(self.pid, self.va, self.pages);
+        machine.free_run(self.frames, self.pages);
     }
 }
 
@@ -186,5 +179,47 @@ mod tests {
         b2.write(&mut m, pid, 0, &Payload::from_bytes(vec![2; 8192])).unwrap();
         assert_eq!(b1.read(&mut m, pid, 0, 1).unwrap(), vec![1]);
         assert_eq!(b2.read(&mut m, pid, 0, 1).unwrap(), vec![2]);
+    }
+
+    #[test]
+    fn windows_stay_disjoint_after_a_release() {
+        // alloc A, alloc B, release A, alloc C: C may reuse A's frames,
+        // but its VA and bus ranges must not touch B's.
+        let mut m = standard_rig(RigOptions::default());
+        let pid = m.create_process();
+        let len = 64 << 20;
+        let a = DmaBuffer::alloc(&mut m, pid, len);
+        let b = DmaBuffer::alloc(&mut m, pid, len);
+        a.release(&mut m);
+        let c = DmaBuffer::alloc(&mut m, pid, len);
+        let disjoint = |x: u64, y: u64| x + len <= y || y + len <= x;
+        assert!(disjoint(b.va().value(), c.va().value()), "VA ranges overlap");
+        assert!(disjoint(b.bus().value(), c.bus().value()), "bus ranges overlap");
+        b.write(&mut m, pid, 0, &Payload::from_bytes(vec![0xb; 64])).unwrap();
+        c.write(&mut m, pid, 0, &Payload::from_bytes(vec![0xc; 64])).unwrap();
+        assert_eq!(b.read(&mut m, pid, 0, 1).unwrap(), vec![0xb]);
+        let bus_b = m.iommu_mut().translate(b.bus()).unwrap();
+        let mut byte = [0u8; 1];
+        m.os_read_phys(bus_b, &mut byte);
+        assert_eq!(byte, [0xb], "B's IOMMU entry was overwritten");
+    }
+
+    #[test]
+    fn unshare_and_release_unmap_everything() {
+        let mut m = standard_rig(RigOptions::default());
+        let (a, b) = (m.create_process(), m.create_process());
+        let buf = DmaBuffer::alloc(&mut m, a, 3 * PAGE_SIZE);
+        buf.share_with(&mut m, b);
+        // Fill b's TLB, then unshare: the stale entry must not survive.
+        buf.read(&mut m, b, 0, 1).unwrap();
+        buf.unshare(&mut m, b);
+        assert!(matches!(buf.read(&mut m, b, 0, 1), Err(AccessFault::NotMapped(_))));
+        assert_eq!(m.mapped_pages(b), 0);
+        let bus = buf.bus();
+        let frame = m.iommu_mut().translate(bus);
+        buf.release(&mut m);
+        assert_eq!(m.mapped_pages(a), 0);
+        // (The rig's IOMMU passes unmapped pages through as identity.)
+        assert_ne!(m.iommu_mut().translate(bus), frame);
     }
 }

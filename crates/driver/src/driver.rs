@@ -17,7 +17,6 @@ use hix_gpu::regs::{bar0, errcode, GPU_MAGIC};
 use hix_gpu::vram::{DevAddr, GPU_PAGE_SIZE};
 use hix_pcie::addr::Bdf;
 use hix_pcie::config::BarIndex;
-use hix_platform::mem::PAGE_SIZE;
 use hix_platform::mmu::AccessFault;
 use hix_platform::{Machine, ProcessId, VirtAddr};
 
@@ -745,9 +744,7 @@ pub fn os_map_bar0(machine: &mut Machine, pid: ProcessId, bdf: Bdf, pages: u64) 
         .bar(BarIndex(0))
         .base();
     let va = VirtAddr::new(0x7f00_0000_0000);
-    for i in 0..pages {
-        machine.os_map(pid, va.offset(i * PAGE_SIZE), base.offset(i * PAGE_SIZE), true);
-    }
+    machine.os_map_range(pid, va, base, pages, true);
     va
 }
 
@@ -761,9 +758,7 @@ pub fn os_map_bar1(machine: &mut Machine, pid: ProcessId, bdf: Bdf, pages: u64) 
         .bar(BarIndex(1))
         .base();
     let va = VirtAddr::new(0x7f10_0000_0000);
-    for i in 0..pages {
-        machine.os_map(pid, va.offset(i * PAGE_SIZE), base.offset(i * PAGE_SIZE), true);
-    }
+    machine.os_map_range(pid, va, base, pages, true);
     va
 }
 

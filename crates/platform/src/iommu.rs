@@ -7,18 +7,17 @@
 //! authenticated encryption. The one *hardware* rule the model enforces
 //! is SGX's: device DMA can never touch the EPC.
 
-use std::collections::BTreeMap;
-
 use hix_pcie::addr::PhysAddr;
 use hix_pcie::device::{DmaBus, DmaFault};
 
+use crate::extent::ExtentMap;
 use crate::mem::{Ram, PAGE_SIZE};
 
-/// The DMA remapping table.
+/// The DMA remapping table (page-granular, stored as extents).
 #[derive(Debug, Default)]
 pub struct Iommu {
-    // bus page -> phys page
-    map: BTreeMap<u64, u64>,
+    /// bus page → phys page.
+    map: ExtentMap<()>,
     passthrough: bool,
 }
 
@@ -41,20 +40,36 @@ impl Iommu {
     ///
     /// Panics if either address is not page-aligned.
     pub fn map(&mut self, bus: PhysAddr, pa: PhysAddr) {
+        self.map_range(bus, pa, 1);
+    }
+
+    /// Maps `pages` consecutive bus pages from `bus` onto the consecutive
+    /// frames from `pa`, replacing any mapping of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either address is not page-aligned.
+    pub fn map_range(&mut self, bus: PhysAddr, pa: PhysAddr, pages: u64) {
         assert_eq!(bus.value() % PAGE_SIZE, 0, "bus address must be page-aligned");
         assert_eq!(pa.value() % PAGE_SIZE, 0, "physical address must be page-aligned");
-        self.map.insert(bus.value() / PAGE_SIZE, pa.value() / PAGE_SIZE);
+        self.map
+            .insert(bus.value() / PAGE_SIZE, pages, pa.value() / PAGE_SIZE, ());
     }
 
     /// Removes a mapping.
     pub fn unmap(&mut self, bus: PhysAddr) {
-        self.map.remove(&(bus.value() / PAGE_SIZE));
+        self.unmap_range(bus, 1);
+    }
+
+    /// Removes the mappings of `pages` bus pages from `bus`.
+    pub fn unmap_range(&mut self, bus: PhysAddr, pages: u64) {
+        self.map.remove(bus.value() / PAGE_SIZE, pages);
     }
 
     /// Translates a bus address. Explicit mappings take precedence;
     /// passthrough (identity) applies to unmapped pages when enabled.
     pub fn translate(&self, bus: PhysAddr) -> Option<PhysAddr> {
-        if let Some(page) = self.map.get(&(bus.value() / PAGE_SIZE)) {
+        if let Some((page, ())) = self.map.get(bus.value() / PAGE_SIZE) {
             return Some(PhysAddr::new(page * PAGE_SIZE + bus.value() % PAGE_SIZE));
         }
         if self.passthrough {

@@ -3,7 +3,9 @@
 //! This crate models the host platform the paper modifies:
 //!
 //! * [`mem`] — the physical address map (sparse DRAM, the EPC carve-out,
-//!   the MMIO hole) and a frame allocator.
+//!   the MMIO hole) and a frame allocator that hands out contiguous runs.
+//! * [`extent`] — the extent map both translation tables are stored
+//!   in: page-granular meaning, one entry per mapped run.
 //! * [`mmu`] — per-process page tables (OS-controlled, hence attacker-
 //!   controlled), a TLB, and the hardware page-table walker that performs
 //!   SGX EPCM checks *and* the HIX GECS/TGMR checks on every TLB fill
@@ -25,6 +27,7 @@
 
 #![warn(missing_docs)]
 
+pub mod extent;
 pub mod hix;
 pub mod iommu;
 pub mod machine;

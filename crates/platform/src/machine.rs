@@ -69,6 +69,9 @@ pub struct Machine {
     next_proc: u32,
     boot_epoch: u64,
     fault_plan: Option<FaultPlan>,
+    /// Bytes of shared-window address space handed out so far (see
+    /// [`Machine::alloc_window_addrs`]).
+    window_cursor: u64,
 }
 
 impl std::fmt::Debug for Machine {
@@ -106,6 +109,7 @@ impl Machine {
             next_proc: 1,
             boot_epoch: 0,
             fault_plan: None,
+            window_cursor: 0,
         }
     }
 
@@ -231,28 +235,68 @@ impl Machine {
 
     // ------------------------------------------------- OS paging surface
 
-    /// Allocates `n` DRAM frames (OS service).
+    /// Allocates `n` DRAM frames, one contiguous run (OS service).
     pub fn alloc_frames(&mut self, n: usize) -> Vec<PhysAddr> {
         self.ram.alloc_frames(n)
     }
 
-    /// Returns DRAM frames to the allocator (OS service).
-    pub fn free_frames(&mut self, frames: &[PhysAddr]) {
-        self.ram.free_frames(frames);
+    /// Allocates a zeroed run of `pages` contiguous DRAM frames and
+    /// returns its base (OS service).
+    pub fn alloc_run(&mut self, pages: u64) -> PhysAddr {
+        self.ram.alloc_run(pages)
+    }
+
+    /// Returns a run from [`Machine::alloc_run`] to the allocator.
+    pub fn free_run(&mut self, base: PhysAddr, pages: u64) {
+        self.ram.free_run(base, pages);
+    }
+
+    /// Hands out the virtual and bus addresses of a fresh `pages`-page
+    /// shared window. Addresses come from one cursor that only moves
+    /// forward, with a guard page after each window, so no two windows
+    /// ever share a virtual or bus page — not even after one is
+    /// released and its frames reused. The VA is the same in
+    /// every process that maps the window.
+    pub fn alloc_window_addrs(&mut self, pages: u64) -> (VirtAddr, PhysAddr) {
+        const VA_BASE: u64 = 0x5000_0000_0000;
+        const BUS_BASE: u64 = 0x10_0000_0000;
+        let off = self.window_cursor;
+        self.window_cursor += (pages + 1) * PAGE_SIZE;
+        (VirtAddr::new(VA_BASE + off), PhysAddr::new(BUS_BASE + off))
     }
 
     /// Installs a translation in `pid`'s page table (OS-controlled; the
     /// adversary may map anything anywhere — hardware checks happen at
     /// access time).
     pub fn os_map(&mut self, pid: ProcessId, va: VirtAddr, pa: PhysAddr, writable: bool) {
-        self.proc_mut(pid).page_table.map(va, pa, writable);
+        self.os_map_range(pid, va, pa, 1, writable);
     }
 
-    /// Removes a translation.
-    pub fn os_unmap(&mut self, pid: ProcessId, va: VirtAddr) {
+    /// Maps `pages` consecutive pages from `va` onto the consecutive
+    /// frames from `pa` in `pid`'s page table — one extent, with the
+    /// per-page meaning of as many [`Machine::os_map`] calls.
+    pub fn os_map_range(
+        &mut self,
+        pid: ProcessId,
+        va: VirtAddr,
+        pa: PhysAddr,
+        pages: u64,
+        writable: bool,
+    ) {
+        self.proc_mut(pid).page_table.map_range(va, pa, pages, writable);
+    }
+
+    /// Removes the translations of `pages` pages from `va` and flushes
+    /// them from `pid`'s TLB in one pass.
+    pub fn os_unmap_range(&mut self, pid: ProcessId, va: VirtAddr, pages: u64) {
         let proc = self.proc_mut(pid);
-        proc.page_table.unmap(va);
-        proc.tlb.flush_page(va);
+        proc.page_table.unmap_range(va, pages);
+        proc.tlb.flush_range(va, pages);
+    }
+
+    /// Number of pages mapped in `pid`'s page table.
+    pub fn mapped_pages(&self, pid: ProcessId) -> usize {
+        self.proc(pid).page_table.len()
     }
 
     /// Flushes `pid`'s TLB (the OS can always do this).

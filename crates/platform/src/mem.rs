@@ -18,7 +18,9 @@
 //! ```
 //!
 //! DRAM is stored sparsely (per-page boxes) so paper-scale simulations do
-//! not allocate gigabytes up front.
+//! not allocate gigabytes up front. General DRAM is handed out by one
+//! run allocator: first fit over coalesced free runs, so a freed run is
+//! reused whole.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -92,18 +94,20 @@ impl fmt::Display for VirtAddr {
     }
 }
 
-/// Sparse physical DRAM with a bump frame allocator.
+/// Sparse physical DRAM with a contiguous-run frame allocator.
 pub struct Ram {
     pages: BTreeMap<u64, Box<[u8; PAGE_SIZE as usize]>>,
-    next_free: u64,
+    /// Free general-DRAM runs: first page number → page count. Runs are
+    /// coalesced on free and never cover the EPC.
+    free: BTreeMap<u64, u64>,
     epc_next_free: u64,
-    free_list: Vec<u64>,
 }
 
 impl fmt::Debug for Ram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Ram")
             .field("resident_pages", &self.pages.len())
+            .field("free_runs", &self.free.len())
             .finish()
     }
 }
@@ -117,13 +121,16 @@ impl Default for Ram {
 impl Ram {
     /// Creates empty DRAM.
     pub fn new() -> Self {
+        // Leave the first 16 MiB for "firmware/kernel" so tests using
+        // tiny addresses don't collide with allocations.
+        let first = 0x0100_0000 / PAGE_SIZE;
+        let epc_first = layout::EPC.base.value() / PAGE_SIZE;
+        let epc_end = layout::EPC.end() / PAGE_SIZE;
+        let dram_end = layout::DRAM.end() / PAGE_SIZE;
         Ram {
             pages: BTreeMap::new(),
-            // Leave the first 16 MiB for "firmware/kernel" so tests using
-            // tiny addresses don't collide with allocations.
-            next_free: 0x0100_0000 / PAGE_SIZE,
-            epc_next_free: layout::EPC.base.value() / PAGE_SIZE,
-            free_list: Vec::new(),
+            free: BTreeMap::from([(first, epc_first - first), (epc_end, dram_end - epc_end)]),
+            epc_next_free: epc_first,
         }
     }
 
@@ -142,48 +149,85 @@ impl Ram {
         layout::MMIO.contains(addr)
     }
 
-    /// Allocates `n` general DRAM frames, returning their base addresses.
+    /// Allocates a run of `pages` consecutive general DRAM frames and
+    /// returns its base. The run reads as zeros, as pinned pages an OS
+    /// hands a process do: whatever a previous owner left resident in
+    /// it is dropped.
     ///
     /// # Panics
     ///
-    /// Panics when DRAM is exhausted (simulation bug, not a modeled
-    /// condition).
-    pub fn alloc_frames(&mut self, n: usize) -> Vec<PhysAddr> {
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            if let Some(ppn) = self.free_list.pop() {
-                out.push(PhysAddr::new(ppn * PAGE_SIZE));
-                continue;
-            }
-            // Skip the EPC range.
-            let epc_first = layout::EPC.base.value() / PAGE_SIZE;
-            let epc_last = (layout::EPC.end() - 1) / PAGE_SIZE;
-            if (epc_first..=epc_last).contains(&self.next_free) {
-                self.next_free = epc_last + 1;
-            }
-            let ppn = self.next_free;
-            assert!(
-                ppn * PAGE_SIZE < layout::DRAM.end(),
-                "simulated DRAM exhausted"
-            );
-            self.next_free += 1;
-            out.push(PhysAddr::new(ppn * PAGE_SIZE));
+    /// Panics for an empty run, and when no free run is long enough
+    /// (simulation bug, not a modeled condition).
+    pub fn alloc_run(&mut self, pages: u64) -> PhysAddr {
+        assert!(pages > 0, "empty frame run");
+        let (start, len) = self
+            .free
+            .iter()
+            .map(|(&start, &len)| (start, len))
+            .find(|&(_, len)| len >= pages)
+            .expect("simulated DRAM exhausted");
+        self.free.remove(&start);
+        if len > pages {
+            self.free.insert(start + pages, len - pages);
         }
-        out
+        let stale: Vec<u64> = self
+            .pages
+            .range(start..start + pages)
+            .map(|(&ppn, _)| ppn)
+            .collect();
+        for ppn in stale {
+            self.pages.remove(&ppn);
+        }
+        PhysAddr::new(start * PAGE_SIZE)
     }
 
-    /// Returns general DRAM frames to the allocator. Contents are left in
-    /// place (freed memory is not scrubbed — realistically).
+    /// Returns the run of `pages` frames at `base` to the allocator,
+    /// merging it with free neighbours. Contents are left in place
+    /// (freed memory is not scrubbed — realistically; the next
+    /// [`Ram::alloc_run`] over it drops them).
     ///
     /// # Panics
     ///
-    /// Panics for unaligned or EPC frames.
-    pub fn free_frames(&mut self, frames: &[PhysAddr]) {
-        for f in frames {
-            assert_eq!(f.value() % PAGE_SIZE, 0, "frame must be page-aligned");
-            assert!(!Ram::is_epc(*f), "EPC frames have their own lifecycle");
-            self.free_list.push(f.value() / PAGE_SIZE);
+    /// Panics for unaligned, empty or EPC runs and on a double free.
+    pub fn free_run(&mut self, base: PhysAddr, pages: u64) {
+        assert_eq!(base.value() % PAGE_SIZE, 0, "frame must be page-aligned");
+        assert!(pages > 0, "empty frame run");
+        let run = PhysRange {
+            base,
+            len: pages * PAGE_SIZE,
+        };
+        assert!(!run.overlaps(&layout::EPC), "EPC frames have their own lifecycle");
+        let (mut start, mut len) = (base.value() / PAGE_SIZE, pages);
+        if let Some((&s, &l)) = self.free.range(..=start).next_back() {
+            assert!(s + l <= start, "double free of frame {base}");
+            if s + l == start {
+                self.free.remove(&s);
+                (start, len) = (s, l + len);
+            }
         }
+        let end = start + len;
+        if let Some((&s, &l)) = self.free.range(base.value() / PAGE_SIZE + 1..).next() {
+            assert!(s >= end, "double free of frame {base}");
+            if s == end {
+                self.free.remove(&s);
+                len += l;
+            }
+        }
+        self.free.insert(start, len);
+    }
+
+    /// Allocates `n` general DRAM frames (one run), returning their base
+    /// addresses.
+    ///
+    /// # Panics
+    ///
+    /// As [`Ram::alloc_run`].
+    pub fn alloc_frames(&mut self, n: usize) -> Vec<PhysAddr> {
+        if n == 0 {
+            return Vec::new();
+        }
+        let base = self.alloc_run(n as u64);
+        (0..n as u64).map(|i| base.offset(i * PAGE_SIZE)).collect()
     }
 
     /// Allocates one EPC frame.
@@ -295,13 +339,39 @@ mod tests {
     #[test]
     fn alloc_skips_epc() {
         let mut ram = Ram::new();
-        // Force the allocator close to the EPC boundary.
-        ram.next_free = layout::EPC.base.value() / PAGE_SIZE - 1;
+        // Leave one free frame just below the EPC: a 3-frame run cannot
+        // straddle the carve-out, so it lands above it.
+        let low = layout::EPC.base.value() / PAGE_SIZE - 0x0100_0000 / PAGE_SIZE;
+        ram.alloc_run(low - 1);
         let frames = ram.alloc_frames(3);
-        assert_eq!(frames[0].value(), layout::EPC.base.value() - PAGE_SIZE);
-        assert!(frames[1].value() >= layout::EPC.end());
-        assert!(frames[2].value() >= layout::EPC.end());
-        assert!(!Ram::is_epc(frames[1]));
+        assert_eq!(frames[0].value(), layout::EPC.end());
+        assert!(frames.iter().all(|f| !Ram::is_epc(*f)));
+        assert_eq!(ram.alloc_frames(1)[0].value(), layout::EPC.base.value() - PAGE_SIZE);
+    }
+
+    #[test]
+    fn freed_runs_coalesce_and_are_reused_zeroed() {
+        let mut ram = Ram::new();
+        let a = ram.alloc_run(4);
+        let b = ram.alloc_run(4);
+        ram.write(a, b"stale");
+        ram.free_run(b, 4);
+        ram.free_run(a, 4);
+        // The two runs merged back, so an 8-frame run fits at `a` again.
+        assert_eq!(ram.alloc_run(8), a);
+        let mut buf = [7u8; 5];
+        ram.read(a, &mut buf);
+        assert_eq!(buf, [0u8; 5]);
+        assert_eq!(ram.resident_pages(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "double free")]
+    fn double_free_is_caught() {
+        let mut ram = Ram::new();
+        let a = ram.alloc_run(2);
+        ram.free_run(a, 2);
+        ram.free_run(a.offset(PAGE_SIZE), 1);
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! hardware walker in [`crate::machine`], which validates every
 //! translation against the EPCM and TGMR before it may enter the TLB.
 
-use std::collections::BTreeMap;
-
 use hix_pcie::addr::PhysAddr;
 
+use crate::extent::ExtentMap;
 use crate::mem::{VirtAddr, PAGE_SIZE};
 
 /// Why a memory access was denied.
@@ -60,12 +59,15 @@ impl Pte {
     }
 }
 
-/// A per-process page table (page-granular map; the multi-level radix of
-/// real x86 is collapsed since only the final translation matters to the
-/// security argument).
+/// A per-process page table. Its meaning is page-granular (the
+/// multi-level radix of real x86 is collapsed since only the final
+/// translation matters to the security argument); it is stored as
+/// extents, so a window mapped by one [`PageTable::map_range`] costs one
+/// entry.
 #[derive(Debug, Clone, Default)]
 pub struct PageTable {
-    entries: BTreeMap<u64, Pte>,
+    /// vpn → (ppn, writable).
+    entries: ExtentMap<bool>,
 }
 
 impl PageTable {
@@ -81,34 +83,46 @@ impl PageTable {
     ///
     /// Panics if `pa` is not page-aligned.
     pub fn map(&mut self, va: VirtAddr, pa: PhysAddr, writable: bool) {
+        self.map_range(va, pa, 1, writable);
+    }
+
+    /// Maps `pages` consecutive pages from the page of `va` onto the
+    /// consecutive frames from `pa`, replacing any translation of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pa` is not page-aligned.
+    pub fn map_range(&mut self, va: VirtAddr, pa: PhysAddr, pages: u64, writable: bool) {
         assert_eq!(pa.value() % PAGE_SIZE, 0, "frame must be page-aligned");
-        self.entries.insert(
-            va.vpn(),
-            Pte {
-                ppn: pa.value() / PAGE_SIZE,
-                writable,
-            },
-        );
+        self.entries
+            .insert(va.vpn(), pages, pa.value() / PAGE_SIZE, writable);
     }
 
     /// Removes a translation.
     pub fn unmap(&mut self, va: VirtAddr) {
-        self.entries.remove(&va.vpn());
+        self.unmap_range(va, 1);
+    }
+
+    /// Removes the translations of `pages` pages from the page of `va`.
+    pub fn unmap_range(&mut self, va: VirtAddr, pages: u64) {
+        self.entries.remove(va.vpn(), pages);
     }
 
     /// Looks up the entry covering `va`.
     pub fn walk(&self, va: VirtAddr) -> Option<Pte> {
-        self.entries.get(&va.vpn()).copied()
+        self.entries
+            .get(va.vpn())
+            .map(|(ppn, writable)| Pte { ppn, writable })
     }
 
     /// Number of mapped pages.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.pages() as usize
     }
 
     /// Whether no pages are mapped.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries.pages() == 0
     }
 }
 
@@ -185,10 +199,11 @@ impl Tlb {
         self.next_victim = 0;
     }
 
-    /// Drops the entry for one page.
-    pub fn flush_page(&mut self, va: VirtAddr) {
-        let vpn = va.vpn();
-        self.entries.retain(|(v, _)| *v != vpn);
+    /// Drops the entries of `pages` pages from the page of `va`, in one
+    /// pass.
+    pub fn flush_range(&mut self, va: VirtAddr, pages: u64) {
+        let first = va.vpn();
+        self.entries.retain(|(v, _)| v.wrapping_sub(first) >= pages);
         self.next_victim = 0;
     }
 
@@ -264,7 +279,7 @@ mod tests {
         let mut tlb = Tlb::new(4);
         tlb.insert(VirtAddr::new(0x1000), Pte { ppn: 1, writable: true });
         tlb.insert(VirtAddr::new(0x2000), Pte { ppn: 2, writable: true });
-        tlb.flush_page(VirtAddr::new(0x1000));
+        tlb.flush_range(VirtAddr::new(0x1000), 1);
         assert!(tlb.lookup(VirtAddr::new(0x1000)).is_none());
         assert!(tlb.lookup(VirtAddr::new(0x2000)).is_some());
         tlb.flush();

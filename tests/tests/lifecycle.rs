@@ -4,6 +4,7 @@
 use hix_core::{GpuEnclave, GpuEnclaveOptions, HixSession};
 use hix_driver::rig::{standard_rig, RigOptions, GPU_BDF};
 use hix_platform::Machine;
+use hix_sim::fault::{FaultConfig, FaultPlan};
 use hix_sim::Payload;
 
 fn rig() -> Machine {
@@ -148,4 +149,47 @@ fn gdev_and_hix_can_alternate_with_graceful_handoff() {
     let pid2 = m.create_process();
     let gdev2 = Gdev::open(&mut m, pid2, GPU_BDF);
     assert!(gdev2.is_ok(), "GPU returned to the OS after graceful termination");
+}
+
+#[test]
+fn gpu_enclave_mappings_return_to_baseline_after_churn() {
+    // Each session maps its 64 MiB window into the GPU enclave; closing
+    // must take all of it back out.
+    let mut m = rig();
+    let mut enclave = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).unwrap();
+    let baseline = m.mapped_pages(enclave.pid());
+    for i in 0..100 {
+        let s = HixSession::connect(&mut m, &mut enclave).unwrap();
+        assert!(m.mapped_pages(enclave.pid()) > baseline, "cycle {i}: window not mapped");
+        s.close(&mut m, &mut enclave).unwrap();
+        assert_eq!(m.mapped_pages(enclave.pid()), baseline, "cycle {i}");
+    }
+}
+
+#[test]
+fn reconnecting_tenant_never_clobbers_a_live_peer() {
+    // Tenant 0 closes and reconnects under a message-fault plan while
+    // tenant 1 stays connected. A fresh window may reuse tenant 0's old
+    // frames, but never an address of a live (or any earlier) window, so
+    // tenant 1's channel afterwards carries no foreign frame.
+    let mut m = rig();
+    let mut enclave = GpuEnclave::launch(&mut m, GpuEnclaveOptions::default()).unwrap();
+    let mut t0 = HixSession::connect_with(&mut m, &mut enclave, 1 << 20, b"t0").unwrap();
+    let mut t1 = HixSession::connect_with(&mut m, &mut enclave, 1 << 20, b"t1").unwrap();
+    let dev = t1.malloc(&mut m, &mut enclave, 4096).unwrap();
+    m.set_fault_plan(FaultPlan::new(0x5eed, FaultConfig::light()));
+    for i in 0..4 {
+        t0.close(&mut m, &mut enclave).unwrap();
+        t0 = HixSession::connect_with(&mut m, &mut enclave, 1 << 20, format!("t0-{i}").as_bytes())
+            .unwrap();
+    }
+    m.clear_fault_plan();
+    let discarded = m.trace().metrics().counter("recovery.msgs_discarded");
+    let data = Payload::from_bytes((0..=255u8).cycle().take(4096).collect());
+    t1.memcpy_htod(&mut m, &mut enclave, dev, &data).unwrap();
+    let back = t1.memcpy_dtoh(&mut m, &mut enclave, dev, 4096).unwrap();
+    assert_eq!(back.bytes(), data.bytes());
+    assert_eq!(m.trace().metrics().counter("recovery.msgs_discarded"), discarded);
+    t1.close(&mut m, &mut enclave).unwrap();
+    t0.close(&mut m, &mut enclave).unwrap();
 }

@@ -1,29 +1,77 @@
-//! Property-based tests over the platform substrate: page tables + TLB
-//! coherence, sparse RAM, VRAM, and the cost model's monotonicity — on
-//! the in-tree `hix-testkit` harness.
+//! Property-based tests over the platform substrate: page tables, the
+//! IOMMU and TLB coherence, sparse RAM and its run allocator, VRAM, and
+//! the cost model's monotonicity — on the in-tree `hix-testkit` harness.
 
-use hix_pcie::addr::PhysAddr;
-use hix_platform::mem::{Ram, PAGE_SIZE};
+use std::collections::BTreeMap;
+
+use hix_pcie::addr::{PhysAddr, PhysRange};
+use hix_platform::iommu::Iommu;
+use hix_platform::mem::{layout, Ram, PAGE_SIZE};
 use hix_platform::mmu::{PageTable, Pte, Tlb};
 use hix_platform::VirtAddr;
 use hix_sim::{CostModel, Nanos};
 use hix_testkit::prop::{prop, Source};
 
+/// One edit of a translation table. Ranges reach past the 32 checked
+/// pages and overlap freely, so the ops exercise single-page remaps and
+/// partial unmaps inside a range as well as whole-range edits.
 #[derive(Debug, Clone)]
 enum MmuOp {
     Map { vpn: u64, ppn: u64, writable: bool },
     Unmap { vpn: u64 },
+    MapRange { vpn: u64, pages: u64, ppn: u64, writable: bool },
+    UnmapRange { vpn: u64, pages: u64 },
 }
 
 fn mmu_op(s: &mut Source) -> MmuOp {
-    match s.choice(2) {
+    match s.choice(4) {
         0 => MmuOp::Map {
             vpn: s.in_range(0..32),
             ppn: s.in_range(0..64),
             writable: s.bool(),
         },
-        _ => MmuOp::Unmap { vpn: s.in_range(0..32) },
+        1 => MmuOp::Unmap { vpn: s.in_range(0..32) },
+        2 => MmuOp::MapRange {
+            vpn: s.in_range(0..32),
+            pages: s.in_range(0..16),
+            ppn: s.in_range(0..64),
+            writable: s.bool(),
+        },
+        _ => MmuOp::UnmapRange {
+            vpn: s.in_range(0..32),
+            pages: s.in_range(0..16),
+        },
     }
+}
+
+/// Applies `op` to the per-page reference model: vpn → (ppn, writable).
+fn apply_reference(reference: &mut BTreeMap<u64, (u64, bool)>, op: &MmuOp) {
+    match *op {
+        MmuOp::Map { vpn, ppn, writable } => {
+            reference.insert(vpn, (ppn, writable));
+        }
+        MmuOp::Unmap { vpn } => {
+            reference.remove(&vpn);
+        }
+        MmuOp::MapRange { vpn, pages, ppn, writable } => {
+            for i in 0..pages {
+                reference.insert(vpn + i, (ppn + i, writable));
+            }
+        }
+        MmuOp::UnmapRange { vpn, pages } => {
+            for i in 0..pages {
+                reference.remove(&(vpn + i));
+            }
+        }
+    }
+}
+
+fn va(vpn: u64) -> VirtAddr {
+    VirtAddr::new(vpn * PAGE_SIZE)
+}
+
+fn pa(ppn: u64) -> PhysAddr {
+    PhysAddr::new(ppn * PAGE_SIZE)
 }
 
 #[test]
@@ -31,27 +79,48 @@ fn page_table_matches_reference_model() {
     prop("page_table_matches_reference_model").run(|s| {
         let ops = s.collect(0..64, mmu_op);
         let mut pt = PageTable::new();
-        let mut reference = std::collections::BTreeMap::new();
+        let mut reference = BTreeMap::new();
         for op in ops {
             match op {
-                MmuOp::Map { vpn, ppn, writable } => {
-                    pt.map(
-                        VirtAddr::new(vpn * PAGE_SIZE),
-                        PhysAddr::new(ppn * PAGE_SIZE),
-                        writable,
-                    );
-                    reference.insert(vpn, (ppn, writable));
+                MmuOp::Map { vpn, ppn, writable } => pt.map(va(vpn), pa(ppn), writable),
+                MmuOp::Unmap { vpn } => pt.unmap(va(vpn)),
+                MmuOp::MapRange { vpn, pages, ppn, writable } => {
+                    pt.map_range(va(vpn), pa(ppn), pages, writable)
                 }
-                MmuOp::Unmap { vpn } => {
-                    pt.unmap(VirtAddr::new(vpn * PAGE_SIZE));
-                    reference.remove(&vpn);
-                }
+                MmuOp::UnmapRange { vpn, pages } => pt.unmap_range(va(vpn), pages),
             }
+            apply_reference(&mut reference, &op);
+            assert_eq!(pt.len(), reference.len(), "mapped page count after {op:?}");
         }
-        for vpn in 0..32u64 {
+        for vpn in 0..48u64 {
             let got = pt.walk(VirtAddr::new(vpn * PAGE_SIZE + 123));
             let want = reference.get(&vpn).map(|&(ppn, writable)| Pte { ppn, writable });
             assert_eq!(got, want, "vpn {vpn}");
+        }
+    });
+}
+
+#[test]
+fn iommu_matches_reference_model() {
+    prop("iommu_matches_reference_model").run(|s| {
+        let ops = s.collect(0..64, mmu_op);
+        let mut iommu = Iommu::new();
+        let mut reference = BTreeMap::new();
+        for op in ops {
+            match op {
+                MmuOp::Map { vpn, ppn, .. } => iommu.map(pa(vpn), pa(ppn)),
+                MmuOp::Unmap { vpn } => iommu.unmap(pa(vpn)),
+                MmuOp::MapRange { vpn, pages, ppn, .. } => iommu.map_range(pa(vpn), pa(ppn), pages),
+                MmuOp::UnmapRange { vpn, pages } => iommu.unmap_range(pa(vpn), pages),
+            }
+            apply_reference(&mut reference, &op);
+        }
+        for bus in 0..48u64 {
+            let got = iommu.translate(PhysAddr::new(bus * PAGE_SIZE + 77));
+            let want = reference
+                .get(&bus)
+                .map(|&(ppn, _)| PhysAddr::new(ppn * PAGE_SIZE + 77));
+            assert_eq!(got, want, "bus page {bus}");
         }
     });
 }
@@ -153,9 +222,65 @@ fn frame_allocator_never_hands_out_epc_or_duplicates() {
     }
     // Freed frames may be reused — but only after being freed.
     let some: Vec<PhysAddr> = seen.iter().take(16).map(|&v| PhysAddr::new(v)).collect();
-    ram.free_frames(&some);
+    for f in some {
+        ram.free_run(f, 1);
+    }
     for _ in 0..16 {
         let f = ram.alloc_frames(1)[0];
         assert!(!Ram::is_epc(f));
     }
+}
+
+#[test]
+fn run_allocator_hands_out_disjoint_runs_outside_the_epc() {
+    prop("run_allocator_hands_out_disjoint_runs_outside_the_epc").run(|s| {
+        // Live runs, as (base, pages), alloc'd and freed in random order.
+        // At most 96 live runs of < 8 MiB leave > 1 GiB of the ~1.85 GiB
+        // of general DRAM free in at most 98 pieces, so one always fits.
+        let mut ram = Ram::new();
+        let mut live: Vec<(PhysAddr, u64)> = Vec::new();
+        for _ in 0..s.usize_in(1..96) {
+            if live.is_empty() || s.choice(3) > 0 {
+                let pages = s.in_range(1..2048);
+                let base = ram.alloc_run(pages);
+                let run = PhysRange { base, len: pages * PAGE_SIZE };
+                assert!(!run.overlaps(&layout::EPC), "run {base} x{pages} touches the EPC");
+                assert!(layout::DRAM.contains_span(base, run.len), "run {base} leaves DRAM");
+                for &(other, n) in &live {
+                    let o = PhysRange { base: other, len: n * PAGE_SIZE };
+                    assert!(!run.overlaps(&o), "run {base} x{pages} overlaps live run {other} x{n}");
+                }
+                live.push((base, pages));
+            } else {
+                let (base, pages) = live.swap_remove(s.index(live.len()));
+                ram.free_run(base, pages);
+                // A freed run is handed out again: the lowest free run
+                // that fits comes first, and this one fits.
+                let again = ram.alloc_run(pages);
+                assert!(again <= base, "freed run at {base} was not reused");
+                live.push((again, pages));
+            }
+        }
+    });
+}
+
+#[test]
+fn window_runs_are_reused_and_dram_stays_bounded() {
+    // 2,000 alloc/free cycles of a 64 MiB window: the same run comes
+    // back every time and only the pages last written stay resident.
+    let mut ram = Ram::new();
+    let pages = (64 << 20) / PAGE_SIZE;
+    let first = ram.alloc_run(pages);
+    ram.free_run(first, pages);
+    for i in 0..2000u64 {
+        let run = ram.alloc_run(pages);
+        assert_eq!(run, first, "cycle {i}: the freed window run was not reused");
+        let mut header = [0xffu8; 8];
+        ram.read(run, &mut header);
+        assert_eq!(header, [0u8; 8], "cycle {i}: window not handed out zeroed");
+        ram.write(run, &i.to_le_bytes());
+        ram.write(run.offset((pages - 1) * PAGE_SIZE), b"tail");
+        ram.free_run(run, pages);
+    }
+    assert_eq!(ram.resident_pages(), 2);
 }
